@@ -15,10 +15,15 @@ hard 60s timeout):
    planes with identical seeds; every front-end decision, shard counter
    and storage counter must match exactly.
 
+The check also fails if this process's ``asyncio`` logger records an
+ERROR (an unretrieved task exception, a failing callback) during the run.
+
 A real file, not a shell heredoc: the harness spawns worker processes
 that re-import ``__main__``.
 """
 
+import gc
+import logging
 import sys
 
 from repro.net.harness import (
@@ -28,7 +33,30 @@ from repro.net.harness import (
 )
 
 
+class _ErrorCounter(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
 def main() -> int:
+    errors = _ErrorCounter()
+    logging.getLogger("asyncio").addHandler(errors)
+    status = probe()
+    gc.collect()  # unretrieved task exceptions are logged on collection
+    if errors.records:
+        print(f"net smoke: the asyncio logger recorded {len(errors.records)} "
+              f"error(s)", file=sys.stderr)
+        for record in errors.records:
+            print(logging.Formatter().format(record), file=sys.stderr)
+        return 1
+    return status
+
+
+def probe() -> int:
     report = run_network_load(
         num_servers=2, num_clients=2, requests_per_client=2_000
     )

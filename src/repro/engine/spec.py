@@ -350,7 +350,7 @@ class NetworkSpec:
     host: str = "127.0.0.1"
     #: persistent connections per shard in the front-end pool
     pool_size: int = 1
-    #: bounded per-connection inflight queue (server backpressure)
+    #: most commands a server connection runs between backpressure checks
     inflight_limit: int = 256
     #: per-request client timeout (seconds) → ``ShardTimeoutError``
     timeout: float = 5.0

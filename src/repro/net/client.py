@@ -2,11 +2,12 @@
 
 Three layers (DESIGN.md §15):
 
-* :class:`Connection` — one persistent socket with **request
-  pipelining**: requests are written immediately (a shared lazy-drain
-  task coalesces concurrent writes into one syscall) and a FIFO of
-  futures matches responses back to requests in order. Head-of-line
-  semantics match memcached: responses come back in request order.
+* :class:`Connection` — one persistent socket (an asyncio
+  ``Protocol``) with **request pipelining**: the requests issued in one
+  event-loop turn leave in one write, and a FIFO of futures matches
+  responses back to requests in order. Head-of-line semantics match
+  memcached: responses come back in request order. One timer per
+  connection enforces every request's deadline.
 * :class:`ShardEndpoint` — a **connection pool** per shard; each
   request picks the pooled connection with the fewest inflight
   requests, reconnecting lazily (and counting reconnects) after a drop.
@@ -26,6 +27,7 @@ keys by ring owner and sends one multi-key ``get`` per group.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable
 
@@ -47,9 +49,6 @@ from repro.policies.base import MISSING
 
 __all__ = ["Connection", "NetClientStats", "ShardEndpoint"]
 
-_READ_SIZE = 1 << 16
-
-
 @dataclass
 class NetClientStats:
     """Client-side wire counters (feeds ``net.*`` telemetry)."""
@@ -70,106 +69,109 @@ class NetClientStats:
         self.batch_depths[depth] = self.batch_depths.get(depth, 0) + 1
 
 
-class Connection:
-    """One pipelined persistent connection to a shard server."""
+class Connection(asyncio.Protocol):
+    """One pipelined persistent connection to a shard server.
 
-    def __init__(self, reader, writer, stats: NetClientStats) -> None:
-        self.reader = reader
-        self.writer = writer
+    One ``call_at`` timer, armed at the earliest pending deadline,
+    enforces every request's deadline. Replies are FIFO, so a timed-out
+    request strands everything behind it: the connection fails them all
+    with :class:`~repro.errors.ShardTimeoutError` and retires, and the
+    pool reconnects on the next request.
+    """
+
+    def __init__(self, name: str, stats: NetClientStats) -> None:
+        self.name = name
         self.stats = stats
         self.decoder = ResponseDecoder()
-        self.pending: "asyncio.Queue[asyncio.Future] | None" = None
-        self._fifo: list[asyncio.Future] = []
-        self._written_since_drain = 0
-        self._drain_task: asyncio.Task | None = None
-        self._recv_task = asyncio.ensure_future(self._receive_loop())
         self.dead = False
-
-    @classmethod
-    async def open(cls, host: str, port: int, stats: NetClientStats) -> "Connection":
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
-            raise ShardDownError(f"connect to {host}:{port} failed: {exc}") from exc
-        stats.connections += 1
-        return cls(reader, writer, stats)
+        self._loop = asyncio.get_running_loop()
+        self._fifo: deque[tuple[asyncio.Future, float]] = deque()
+        self._out: list[bytes] = []
+        self._timer: asyncio.TimerHandle | None = None
+        self._lost = self._loop.create_future()
 
     @property
     def inflight(self) -> int:
         return len(self._fifo)
 
-    def request(self, payload: bytes) -> "asyncio.Future[Reply]":
-        """Pipeline one encoded request; the future resolves to its reply.
-
-        The write lands in the stream buffer immediately; one lazy drain
-        task per burst flushes everything written since the last flush
-        in a single syscall (the client-side half of pipelining).
-        """
+    def request(self, payload: bytes, deadline: float) -> "asyncio.Future[Reply]":
+        """Pipeline one encoded request, sent with the rest of this loop
+        turn's; the future fails at ``deadline`` (loop time)."""
         if self.dead:
             raise ShardDownError("connection is closed")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._fifo.append(future)
+        future = self._loop.create_future()
+        self._fifo.append((future, deadline))
+        if self._timer is None or deadline < self._timer.when():
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = self._loop.call_at(deadline, self._on_timer)
         self.stats.requests += 1
         self.stats.bytes_out += len(payload)
-        self.writer.write(payload)
-        self._written_since_drain += 1
-        if self._drain_task is None or self._drain_task.done():
-            self._drain_task = asyncio.ensure_future(self._drain())
+        if not self._out:
+            self._loop.call_soon(self._flush)
+        self._out.append(payload)
         return future
 
-    async def _drain(self) -> None:
-        depth, self._written_since_drain = self._written_since_drain, 0
-        self.stats.note_batch(depth)
-        try:
-            await self.writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._fail_all(ShardDownError(f"connection lost: {exc}"))
+    def _flush(self) -> None:
+        out, self._out = self._out, []
+        if not self.dead:
+            self.stats.note_batch(len(out))
+            self.transport.write(b"".join(out))
 
-    async def _receive_loop(self) -> None:
-        try:
-            while True:
-                data = await self.reader.read(_READ_SIZE)
-                if not data:
-                    self._fail_all(ShardDownError("server closed the connection"))
-                    return
-                self.stats.bytes_in += len(data)
-                for reply in self.decoder.feed(data):
-                    if not self._fifo:
-                        # Unsolicited frame: the stream is unsyncable.
-                        self._fail_all(ProtocolError("unsolicited response"))
-                        return
-                    future = self._fifo.pop(0)
-                    if not future.done():
-                        future.set_result(reply)
-                if self.decoder.broken:
-                    self._fail_all(ProtocolError("response stream unparsable"))
-                    return
-        except (ConnectionError, OSError) as exc:
-            self._fail_all(ShardDownError(f"connection lost: {exc}"))
-        except asyncio.CancelledError:
-            self._fail_all(ShardDownError("connection closed"))
-            raise
+    def _on_timer(self) -> None:
+        self._timer = None
+        if not self._fifo:
+            return
+        earliest = min(deadline for _, deadline in self._fifo)
+        if earliest > self._loop.time():
+            self._timer = self._loop.call_at(earliest, self._on_timer)
+            return
+        self.stats.timeouts += sum(not f.done() for f, _ in self._fifo)
+        self._fail_all(ShardTimeoutError(f"{self.name} did not answer in time"))
+
+    # ---------------------------------------------------- protocol callbacks
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.stats.connections += 1
+
+    def data_received(self, data: bytes) -> None:
+        if self.dead:
+            return
+        self.stats.bytes_in += len(data)
+        fifo = self._fifo
+        for reply in self.decoder.feed(data):
+            if not fifo:
+                # Unsolicited frame: the stream is unsyncable.
+                self._fail_all(ProtocolError("unsolicited response"))
+                return
+            future = fifo.popleft()[0]
+            if not future.done():
+                future.set_result(reply)
+        if self.decoder.broken:
+            self._fail_all(ProtocolError("response stream unparsable"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        reason = "server closed the connection" if exc is None else f"connection lost: {exc}"
+        self._fail_all(ShardDownError(reason))
+        self._lost.set_result(None)
 
     def _fail_all(self, exc: Exception) -> None:
+        """Retire the connection: fail every pending request with ``exc``."""
         self.dead = True
-        fifo, self._fifo = self._fifo, []
-        for future in fifo:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._out.clear()
+        fifo, self._fifo = self._fifo, deque()
+        for future, _ in fifo:
             if not future.done():
                 future.set_exception(exc)
-        self.writer.close()
+        self.transport.abort()
 
     async def close(self) -> None:
-        self.dead = True
-        self._recv_task.cancel()
-        try:
-            await self._recv_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._fail_all(ShardDownError("connection closed"))
+        await self._lost
 
 
 class ShardEndpoint:
@@ -204,16 +206,13 @@ class ShardEndpoint:
     # ------------------------------------------------------------ transport
 
     async def _connection(self) -> Connection:
-        """The pooled live connection with the fewest inflight requests.
+        """Open a connection in the first empty or dead pool slot.
 
-        Connection establishment is serialized behind a lock so a burst
-        of concurrent requests against an empty (or just-dropped) pool
+        Establishment is serialized behind a lock so a burst of
+        concurrent requests against an empty (or just-dropped) pool
         shares the slot's one socket instead of racing opens — the whole
         point of pipelining is many requests per connection.
         """
-        best = self._pick()
-        if best is not None:
-            return best
         if self._connect_lock is None:
             self._connect_lock = asyncio.Lock()
         async with self._connect_lock:
@@ -224,7 +223,17 @@ class ShardEndpoint:
                 if conn is None or conn.dead:
                     if conn is not None and conn.dead:
                         self.stats.reconnects += 1
-                    opened = await Connection.open(self.host, self.port, self.stats)
+                    loop = asyncio.get_running_loop()
+                    try:
+                        _, opened = await loop.create_connection(
+                            lambda: Connection(self.server_id, self.stats),
+                            self.host,
+                            self.port,
+                        )
+                    except OSError as exc:
+                        raise ShardDownError(
+                            f"connect to {self.host}:{self.port} failed: {exc}"
+                        ) from exc
                     self._pool[slot] = opened
                     return opened
         raise ShardDownError("connection pool exhausted")  # pragma: no cover
@@ -244,17 +253,22 @@ class ShardEndpoint:
         return best
 
     async def request(self, command: Any) -> Reply:
-        """One pipelined round-trip, with timeout/error → failure mapping."""
-        try:
-            conn = await self._connection()
-            reply = await asyncio.wait_for(
-                conn.request(command.encode()), timeout=self.timeout
-            )
-        except asyncio.TimeoutError:
-            self.stats.timeouts += 1
-            raise ShardTimeoutError(
-                f"{self.server_id} did not answer within {self.timeout}s"
-            ) from None
+        """One pipelined round-trip, with timeout/error → failure mapping.
+
+        The deadline starts here, so a connect (or a wait for another
+        request's connect) spends the same budget as the reply.
+        """
+        deadline = asyncio.get_running_loop().time() + self.timeout
+        conn = self._pick()
+        if conn is None:
+            try:
+                conn = await asyncio.wait_for(self._connection(), self.timeout)
+            except asyncio.TimeoutError:
+                self.stats.timeouts += 1
+                raise ShardTimeoutError(
+                    f"{self.server_id}: connect did not finish within {self.timeout}s"
+                ) from None
+        reply = await conn.request(command.encode(), deadline)
         if reply.kind == "SERVER_ERROR":
             self.stats.errors += 1
             raise proto.decode_failure(reply)

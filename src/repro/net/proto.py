@@ -125,7 +125,8 @@ def valid_key(key: str) -> bool:
     """Whether ``key`` is legal on the wire (token, ≤250 bytes, printable)."""
     if not isinstance(key, str) or not 0 < len(key) <= MAX_KEY_BYTES:
         return False
-    return all(33 <= ord(ch) <= 126 for ch in key)
+    # Printable ASCII is code points 32-126; excluding the space leaves 33-126.
+    return key.isascii() and key.isprintable() and " " not in key
 
 
 def _require_key(key: str) -> bytes:

@@ -2,26 +2,25 @@
 
 One :class:`ShardServer` wraps one
 :class:`~repro.cluster.backend.BackendCacheServer` and serves it over a
-TCP socket. The connection design is queue-based load leveling
-(DESIGN.md §15):
+TCP socket. Each connection is an asyncio ``Protocol`` (DESIGN.md §15):
 
-* a **reader task** per connection parses requests incrementally
-  (:class:`~repro.net.proto.RequestDecoder`) and enqueues them on a
-  **bounded inflight queue** — when the shard falls behind, the queue
-  fills, the reader stops draining the socket, and TCP backpressure
-  propagates to the client instead of unbounded buffering;
-* a **worker task** per connection drains the queue in arrival order,
-  executes commands against the backend, and **coalesces every response
-  that is ready into one socket write** — the server-side half of
-  pipelining (the batch-depth distribution is recorded per drain);
+* ``data_received`` decodes the read incrementally
+  (:class:`~repro.net.proto.RequestDecoder`), runs the commands in
+  arrival order against the backend and **writes all their replies at
+  once** — the server-side half of pipelining (the batch-depth
+  distribution is recorded per write);
+* **backpressure**: commands run in chunks of ``inflight_limit``; once
+  the send buffer passes its high-water mark, ``pause_writing`` stops
+  reading the socket, so TCP backpressure reaches the client, and the
+  held-back commands run on ``resume_writing``;
 * injected shard failures (:class:`~repro.errors.ShardFailure`) become
   ``SERVER_ERROR <code> …`` frames, so fault schedules exercise the
   wire path end to end and the client reconstructs the exact exception
   type for its retry/breaker layer.
 
-Shutdown is a **graceful drain**: :meth:`ShardServer.stop` first closes
-the listener (no new connections), then waits for every inflight queue
-to empty and every response to flush before tearing connections down —
+Shutdown is a **graceful drain**: :meth:`ShardServer.stop` closes the
+listener (no new connections), runs every request already received and
+half-closes each connection once its replies are written, so
 acknowledged work is never dropped on the floor.
 """
 
@@ -51,9 +50,6 @@ __all__ = ["ShardServer", "ShardServerStats", "SERVER_VERSION"]
 
 SERVER_VERSION = "repro-net/1"
 
-#: socket read size; large enough that a deep pipeline arrives in one read.
-_READ_SIZE = 1 << 16
-
 
 @dataclass
 class ShardServerStats:
@@ -71,97 +67,92 @@ class ShardServerStats:
     batch_depths: dict[int, int] = field(default_factory=dict)
 
 
-class _Connection:
-    """One client connection: reader task + bounded queue + worker task."""
+class _Connection(asyncio.Protocol):
+    """One client connection: decode a read, run it inline, write once."""
 
-    def __init__(self, server: "ShardServer", reader, writer) -> None:
+    def __init__(self, server: "ShardServer") -> None:
         self.server = server
-        self.reader = reader
-        self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=server.inflight_limit)
         self.decoder = RequestDecoder(max_value_bytes=server.max_value_bytes)
+        #: decoded commands held back while the client is not reading
+        self.backlog: list = []
+        self.paused = False
+        self.stopping = False
         self.closing = False
+        self.lost = asyncio.get_running_loop().create_future()
 
-    async def run(self) -> None:
-        stats = self.server.stats
-        stats.connections += 1
-        stats.active_connections += 1
-        worker = asyncio.ensure_future(self._worker())
-        try:
-            await self._read_loop()
-        finally:
-            # EOF (or a fatal protocol error): let queued work drain,
-            # then stop the worker and flush/close the socket.
-            await self.queue.join()
-            worker.cancel()
-            try:
-                await worker
-            except asyncio.CancelledError:
-                pass
-            stats.active_connections -= 1
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.server.stats.connections += 1
+        self.server.stats.active_connections += 1
+        self.server._connections.add(self)
 
-    async def _read_loop(self) -> None:
-        stats = self.server.stats
-        while not self.closing:
-            try:
-                data = await self.reader.read(_READ_SIZE)
-            except (ConnectionError, OSError):
-                break
-            if not data:
-                break
-            stats.bytes_in += len(data)
-            for command in self.decoder.feed(data):
-                # Bounded inflight queue: block (and stop reading the
-                # socket) when the shard is behind — queue-based load
-                # leveling instead of unbounded buffering.
-                await self.queue.put(command)
-                if isinstance(command, QuitCommand) or (
-                    isinstance(command, BadCommand) and command.fatal
-                ):
-                    self.closing = True
-                    break
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closing = True
+        self.server.stats.active_connections -= 1
+        self.server._connections.discard(self)
+        self.lost.set_result(None)
 
-    async def _worker(self) -> None:
+    def data_received(self, data: bytes) -> None:
+        if self.closing or self.stopping:
+            return  # after stop(): read and dropped, see _serve
+        self.server.stats.bytes_in += len(data)
+        self.backlog += self.decoder.feed(data)
+        self._serve()
+
+    def pause_writing(self) -> None:
+        # The client is not reading: stop reading it too, so TCP
+        # backpressure reaches it instead of replies piling up here.
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if not self.stopping:
+            self.transport.resume_reading()
+        self._serve()
+
+    def stop(self) -> None:
+        """Take no more requests; half-close once the backlog has run."""
+        self.stopping = True
+        self.transport.pause_reading()
+        self._serve()
+
+    def _serve(self) -> None:
+        """Run the backlog in order, ``inflight_limit`` commands per write.
+
+        Checking for backpressure between chunks bounds the replies
+        buffered here by the high-water mark plus one chunk's worth.
+        """
         stats = self.server.stats
-        while True:
-            command = await self.queue.get()
-            batch = [command]
-            # Coalesce everything already queued into one write+drain:
-            # the server-side half of pipelining.
-            while not self.queue.empty():
-                batch.append(self.queue.get_nowait())
-            out = bytearray()
-            quit_after = False
-            for cmd in batch:
+        limit = self.server.inflight_limit
+        while self.backlog and not self.paused and not self.closing:
+            batch, self.backlog = self.backlog[:limit], self.backlog[limit:]
+            out = []
+            for depth, cmd in enumerate(batch, 1):
                 reply = self._execute(cmd)
                 if reply is not None:
-                    out += reply
+                    out.append(reply)
                 if isinstance(cmd, QuitCommand) or (
                     isinstance(cmd, BadCommand) and cmd.fatal
                 ):
-                    quit_after = True
-            stats.requests += len(batch)
+                    self.closing = True
+                    self.backlog = []
+                    break
+            stats.requests += depth
             stats.batches += 1
-            depth = len(batch)
             stats.batch_depths[depth] = stats.batch_depths.get(depth, 0) + 1
             if out:
-                stats.bytes_out += len(out)
-                try:
-                    self.writer.write(bytes(out))
-                    await self.writer.drain()
-                except (ConnectionError, OSError):
-                    quit_after = True
-            for _ in batch:
-                self.queue.task_done()
-            if quit_after:
-                self.closing = True
-                self.writer.close()
-                return
+                payload = b"".join(out)
+                stats.bytes_out += len(payload)
+                self.transport.write(payload)
+        if self.closing:
+            self.transport.close()  # graceful: buffered replies still go out
+        elif self.stopping and not self.backlog:
+            # Half-close, then read and drop input until the client
+            # closes: unread requests would turn a close into a reset
+            # that discards replies still in the kernel's send buffer.
+            self.transport.write_eof()
+            self.transport.resume_reading()
 
     def _execute(self, cmd) -> bytes | None:
         backend = self.server.backend
@@ -214,7 +205,11 @@ class _Connection:
 
 
 class ShardServer:
-    """Serve one backend shard on a TCP port (ephemeral by default)."""
+    """Serve one backend shard on a TCP port (ephemeral by default).
+
+    ``inflight_limit`` is the most commands a connection runs between
+    two backpressure checks (and so the most replies one write carries).
+    """
 
     def __init__(
         self,
@@ -232,7 +227,6 @@ class ShardServer:
         self.stats = ShardServerStats()
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
 
     @property
     def server_id(self) -> str:
@@ -243,24 +237,12 @@ class ShardServer:
         return (self.host, self.port)
 
     async def start(self) -> "ShardServer":
-        self._server = await asyncio.start_server(
-            self._on_connect, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
-
-    async def _on_connect(self, reader, writer) -> None:
-        conn = _Connection(self, reader, writer)
-        self._connections.add(conn)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            await conn.run()
-        finally:
-            self._connections.discard(conn)
-            if task is not None:
-                self._conn_tasks.discard(task)
 
     def abort_connections(self) -> None:
         """Hard-drop every live connection (simulates an instance crash).
@@ -269,32 +251,25 @@ class ShardServer:
         analogue of a killed shard — and reconnect lazily on next use.
         """
         for conn in list(self._connections):
-            conn.closing = True
-            transport = conn.writer.transport
-            if transport is not None:
-                transport.abort()
+            conn.transport.abort()
 
     async def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
-        """Stop serving; with ``drain`` (default) finish inflight work first."""
+        """Stop serving; with ``drain`` (default) finish inflight work first.
+
+        Draining runs every request already received, half-closes each
+        connection and waits up to ``timeout`` seconds for its client to
+        close; connections still open then are aborted.
+        """
         if self._server is not None:
             self._server.close()
+        lost = [conn.lost for conn in self._connections]
+        if drain and lost:
+            for conn in list(self._connections):
+                conn.stop()
+            await asyncio.wait(lost, timeout=timeout)
+        self.abort_connections()
+        if lost:
+            await asyncio.wait(lost)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        if drain:
-            pending = [c.queue.join() for c in list(self._connections)]
-            if pending:
-                try:
-                    await asyncio.wait_for(
-                        asyncio.gather(*pending), timeout=timeout
-                    )
-                except asyncio.TimeoutError:
-                    pass
-        self.abort_connections()
-        tasks = list(self._conn_tasks)
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass

@@ -277,3 +277,31 @@ def test_valid_key_rejects_whitespace_control_and_long():
     assert not valid_key("")
     assert not valid_key("k" * 251)
     assert valid_key("k" * 250)
+
+
+def _reference_valid_key(key: str) -> bool:
+    """The per-character definition ``valid_key`` must agree with."""
+    if not isinstance(key, str) or not 0 < len(key) <= 250:
+        return False
+    return all(33 <= ord(ch) <= 126 for ch in key)
+
+
+def test_valid_key_matches_per_character_definition_on_single_chars():
+    for code in range(256):
+        assert valid_key(chr(code)) == _reference_valid_key(chr(code)), code
+
+
+@pytest.mark.parametrize("length", [0, 250, 251])
+@pytest.mark.parametrize("fill", ["k", " ", "\x7f", "\xe9", "~", "!"])
+def test_valid_key_matches_per_character_definition_at_length_edges(length, fill):
+    key = fill * length
+    assert valid_key(key) == _reference_valid_key(key)
+
+
+@given(
+    st.text(max_size=300)
+    | st.text(alphabet=st.characters(max_codepoint=130), max_size=260)
+)
+@settings(max_examples=300, deadline=None)
+def test_valid_key_matches_per_character_definition_on_any_text(key):
+    assert valid_key(key) == _reference_valid_key(key)
