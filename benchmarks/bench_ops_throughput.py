@@ -76,6 +76,13 @@ def bench_spacesaving_offer(benchmark, key_stream):
 
 
 def bench_hash_ring_lookup(benchmark, key_stream):
+    """Primary-owner lookups starting from an empty owner memo.
+
+    The keys repeat every round, so with a warm memo the bench would time
+    dict hits only. Clearing it before each round keeps the first lookup
+    of every distinct key on MD5 plus bisect; repeats within a round hit
+    the memo, as they do in a request stream.
+    """
     ring = ConsistentHashRing([f"cache-{i}" for i in range(8)], virtual_nodes=2048)
     keys = [f"usertable:{k}" for k in key_stream[:OPS_PER_ROUND]]
 
@@ -83,7 +90,7 @@ def bench_hash_ring_lookup(benchmark, key_stream):
         for key in keys:
             ring.server_for(key)
 
-    benchmark(run)
+    benchmark.pedantic(run, setup=ring._owner_memo.clear, rounds=200)
     benchmark.extra_info["ops_per_round"] = OPS_PER_ROUND
 
 

@@ -14,23 +14,36 @@ first — DistCache-style replica placement without a second hash function.
 Replica lookups are served from a per-ring-epoch successor table so the
 hot read path pays one bisect plus a tuple fetch rather than ``r`` ring
 walks.
+
+Single-owner lookups are memoized: ownership is a pure function of the
+member set, so :meth:`ConsistentHashRing.server_for` keeps a
+``str(key) -> owner`` dict that every membership change clears. A repeated
+key then costs one dict probe instead of an MD5 digest plus a bisect over
+the ring's points.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import struct
 from typing import Hashable, Iterable, Sequence
 
 from repro.errors import ClusterError, ConfigurationError
 
 __all__ = ["ConsistentHashRing"]
 
+#: owner-memo size at which :meth:`ConsistentHashRing.server_for` starts
+#: over with an empty memo; bounds its memory on key spaces far larger
+#: than the working set (the paper's 1M keys)
+OWNER_MEMO_CAP = 1 << 17
+
+_unpack_u32 = struct.Struct(">I").unpack_from
+
 
 def _hash32(data: str) -> int:
     """First 4 bytes of MD5 as an unsigned 32-bit ring position."""
-    digest = hashlib.md5(data.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big")
+    return _unpack_u32(hashlib.md5(data.encode("utf-8")).digest())[0]
 
 
 class ConsistentHashRing:
@@ -57,13 +70,16 @@ class ConsistentHashRing:
         self._owners: list[str] = []
         self._servers: set[str] = set()
         #: monotone membership-change counter; every add/remove bumps it,
-        #: invalidating the cached successor tables below
+        #: invalidating the cached tables below
         self._epoch = 0
         #: ``r -> tuple-per-ring-point of the next r distinct owners``,
         #: built lazily per (epoch, r) so replica lookups are one bisect
         self._successors: dict[int, list[tuple[str, ...]]] = {}
-        for server in servers:
-            self.add_server(server)
+        #: ``str(key) -> owner`` for this epoch; keyed on the exact hash
+        #: input, so keys that compare equal but print differently (``1``,
+        #: ``1.0``, ``True``) never share an entry
+        self._owner_memo: dict[str, str] = {}
+        self.add_server(*servers)
 
     # ------------------------------------------------------------------ api
 
@@ -88,28 +104,36 @@ class ConsistentHashRing:
     def __contains__(self, server: str) -> bool:
         return server in self._servers
 
-    def add_server(self, server: str) -> None:
-        """Place ``server``'s virtual points on the ring.
+    def add_server(self, *servers: str) -> None:
+        """Place the virtual points of every server in ``servers``.
 
         The ring is kept sorted by ``(point, owner)``: a 32-bit hash
         collision between two servers' virtual points is broken by owner
         id, never by insertion order, so ring ownership is a pure
         function of the member set — a freshly built ring and one that
-        saw arbitrary churn agree on every key.
+        saw arbitrary churn agree on every key. Any number of servers is
+        placed with one sort; the epoch still advances once per server.
+        A duplicate id (against the members or within ``servers``) raises
+        before the ring changes.
         """
-        if server in self._servers:
-            raise ClusterError(f"server already on ring: {server}")
-        self._servers.add(server)
+        members = set(self._servers)
+        for server in servers:
+            if server in members:
+                raise ClusterError(f"server already on ring: {server}")
+            members.add(server)
+        self._servers = members
         pairs = list(zip(self._points, self._owners))
         pairs.extend(
             (_hash32(f"{server}#{replica}"), server)
+            for server in servers
             for replica in range(self._virtual_nodes)
         )
         pairs.sort()
         self._points = [p for p, _ in pairs]
         self._owners = [o for _, o in pairs]
-        self._epoch += 1
+        self._epoch += len(servers)
         self._successors.clear()
+        self._owner_memo.clear()
 
     def remove_server(self, server: str) -> None:
         """Remove all of ``server``'s points (its keys redistribute)."""
@@ -125,6 +149,7 @@ class ConsistentHashRing:
         self._owners = [o for _, o in keep]
         self._epoch += 1
         self._successors.clear()
+        self._owner_memo.clear()
 
     def server_for(self, key: Hashable) -> str:
         """The server responsible for ``key``.
@@ -133,15 +158,23 @@ class ConsistentHashRing:
         key's hash": a point equal to the key's hash owns the key, and
         among colliding points the ``(point, owner)`` order makes the
         lexicographically smallest owner win — deterministically,
-        independent of add/remove history.
+        independent of add/remove history. The answer is memoized per
+        membership epoch under ``str(key)``, the exact hash input.
         """
-        if not self._points:
+        text = str(key)
+        memo = self._owner_memo
+        owner = memo.get(text)
+        if owner is not None:
+            return owner
+        points = self._points
+        if not points:
             raise ClusterError("hash ring is empty")
-        point = _hash32(str(key))
-        idx = bisect.bisect_left(self._points, point)
-        if idx == len(self._points):
-            idx = 0
-        return self._owners[idx]
+        idx = bisect.bisect_left(points, _hash32(text))
+        owner = self._owners[idx if idx < len(points) else 0]
+        if len(memo) >= OWNER_MEMO_CAP:
+            memo.clear()
+        memo[text] = owner
+        return owner
 
     # ------------------------------------------------------------- replicas
 

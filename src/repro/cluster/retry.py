@@ -111,6 +111,9 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+_CLOSED = BreakerState.CLOSED
+
+
 class CircuitBreaker:
     """One shard's breaker: consecutive-failure trip, cooldown re-probe."""
 
@@ -335,21 +338,25 @@ class ClusterGuard:
         """
         self._clock += 1.0
         now = self._clock
-        self.stats.operations += 1
+        stats = self.stats
+        stats.operations += 1
         breaker = self._breakers.get(server_id)
         if breaker is None:
             breaker = self._breakers[server_id] = CircuitBreaker(
                 self.breaker_config
             )
-        if not breaker.allow(now):
-            self.stats.open_rejections += 1
-            self.stats.failures += 1
+        # A CLOSED breaker always allows, and a success while CLOSED only
+        # ends the failure run: the breaker's methods are needed only
+        # around OPEN / HALF_OPEN transitions.
+        if breaker._state is not _CLOSED and not breaker.allow(now):
+            stats.open_rejections += 1
+            stats.failures += 1
             raise ShardUnavailableError(
                 f"shard {server_id}: circuit open"
             )
         attempt = 0
         while True:
-            self.stats.attempts += 1
+            stats.attempts += 1
             try:
                 result = fn()
             except ShardFailure as exc:
@@ -359,16 +366,19 @@ class ClusterGuard:
                     attempt >= self.retry.max_attempts
                     or breaker.peek(now) is BreakerState.OPEN
                 ):
-                    self.stats.failures += 1
+                    stats.failures += 1
                     raise ShardUnavailableError(
                         f"shard {server_id}: gave up after {attempt} "
                         f"attempt(s): {exc}"
                     ) from exc
                 delay = self.retry.backoff(attempt - 1, self._rng)
-                self.stats.retries += 1
-                self.stats.backoff_total += delay
+                stats.retries += 1
+                stats.backoff_total += delay
                 if self._sleep is not None:
                     self._sleep(delay)
                 continue
-            breaker.record_success(now)
+            if breaker._state is _CLOSED:
+                breaker._consecutive_failures = 0
+            else:
+                breaker.record_success(now)
             return result

@@ -180,11 +180,9 @@ class CoTCache(CachePolicy):
                 key, tracker._read_delta
             )
         else:
-            stats = tracker._admit(key)
+            stats = tracker._admit(key, tracker._read_delta)
             stats.read_count += 1.0
-            stats.hot = hot = tracker._rest_heap.update_delta(
-                key, tracker._read_delta
-            )
+            hot = stats.hot
         cstat.misses += 1
         cstat.epoch_misses += 1
         value = loader(key)
@@ -234,9 +232,9 @@ class CoTCache(CachePolicy):
                 self.epoch_tracker_hits += 1
                 stats.hot = hot = rest_update(key, read_delta)
             else:
-                stats = admit(key)
+                stats = admit(key, read_delta)
                 stats.read_count += 1.0
-                stats.hot = hot = rest_update(key, read_delta)
+                hot = stats.hot
             cstat.misses += 1
             cstat.epoch_misses += 1
             capacity = tracker._cache_capacity

@@ -164,21 +164,20 @@ class CoTTracker(Generic[K]):
         access's constant delta (``+r_w`` / ``-u_w``) — no Equation 1
         recompute — and the owning heap re-orders via its delta path.
         """
+        is_read = access is AccessType.READ
+        delta = self._read_delta if is_read else self._update_delta
         stats = self._stats.get(key)
         if stats is None:
-            stats = self._admit(key)
-        if access is AccessType.READ:
+            stats = self._admit(key, delta)
+        elif stats.cached:
+            stats.hot = self._cache_heap.update_delta(key, delta)
+        else:
+            stats.hot = self._rest_heap.update_delta(key, delta)
+        if is_read:
             stats.read_count += 1.0
-            delta = self._read_delta
         else:
             stats.update_count += 1.0
-            delta = self._update_delta
-        if stats.cached:
-            hotness = self._cache_heap.update_delta(key, delta)
-        else:
-            hotness = self._rest_heap.update_delta(key, delta)
-        stats.hot = hotness
-        return hotness
+        return stats.hot
 
     def track_many(self, keys: Iterable[K], access: AccessType = AccessType.READ) -> None:
         """Record one ``access`` for each key in ``keys`` (batch Algorithm 1).
@@ -195,29 +194,37 @@ class CoTTracker(Generic[K]):
         for key in keys:
             stats = stats_get(key)
             if stats is None:
-                stats = admit(key)
+                stats = admit(key, delta)
+            elif stats.cached:
+                stats.hot = cache_update(key, delta)
+            else:
+                stats.hot = rest_update(key, delta)
             if is_read:
                 stats.read_count += 1.0
             else:
                 stats.update_count += 1.0
-            if stats.cached:
-                stats.hot = cache_update(key, delta)
-            else:
-                stats.hot = rest_update(key, delta)
 
-    def _admit(self, key: K) -> KeyStats:
-        """Insert an untracked key, evicting the space-saving victim."""
+    def _admit(self, key: K, delta: float) -> KeyStats:
+        """Insert an untracked key, evicting the space-saving victim.
+
+        ``delta`` is the hotness change of the access that brought the
+        key in. It is added to the seeded hotness before the key is
+        placed, so the key is sifted once, at its final priority. The
+        float and the ``(priority, seq)`` pair are the ones a placement
+        at the seeded hotness followed by ``update_delta`` would give;
+        the caller counts the access itself.
+        """
         stats = KeyStats()
         if len(self._stats) >= self._tracker_capacity:
             if self._rest_heap:
-                # Fused evict+insert: the newcomer inherits the victim's
-                # (near-minimal) hotness, so replacing the rest-heap root
-                # in place almost never sinks — one shallow sift instead
-                # of a full-depth pop plus a long sift-up push.
+                # Fused evict+insert: the newcomer takes the victim's root
+                # slot and sinks once to its final priority — one sift
+                # instead of a full-depth pop plus a sift-up push.
                 if self._inherit_hotness:
                     stats.seed_from_hotness(
                         self._rest_heap.min_priority(), self._model
                     )
+                stats.hot += delta
                 victim, _ = self._rest_heap.replace(key, stats.hot)
                 del self._stats[victim]
                 self._stats[key] = stats
@@ -229,6 +236,7 @@ class CoTTracker(Generic[K]):
             del self._stats[victim]
             if self._inherit_hotness:
                 stats.seed_from_hotness(victim_hotness, self._model)
+        stats.hot += delta
         self._rest_heap.push(key, stats.hot)
         self._stats[key] = stats
         return stats

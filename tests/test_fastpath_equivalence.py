@@ -29,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import CoTCache
+from repro.core.hotness import AccessType, HotnessModel, KeyStats
+from repro.core.tracker import CoTTracker
 from repro.engine import (
     PolicySpec,
     PolicyStreamRunner,
@@ -345,3 +347,124 @@ def test_get_many_matches_sequential_gets() -> None:
     for shard, lookups in batched.monitor.total_loads().items():
         assert lookups <= sequential.monitor.total_loads()[shard]
     batched.policy.check_invariants()
+
+
+# ------------------------------------------------- non-unit-weight admission
+
+
+class TwoStepAdmitTracker(CoTTracker):
+    """Tracker admission in two sifts: place a new key at its seeded
+    hotness, then apply the access's delta with ``update_delta``.
+
+    The optimized tracker adds the delta before placing the key, so it
+    sifts once. Both must leave the same ``(priority, seq)`` pairs and the
+    same float hotness, also when the weights make hotness non-integral.
+    """
+
+    def _admit(self, key, delta):
+        stats = KeyStats()
+        rest = self._rest_heap
+        if len(self._stats) >= self._tracker_capacity:
+            if rest:
+                if self._inherit_hotness:
+                    stats.seed_from_hotness(rest.min_priority(), self._model)
+                victim, _ = rest.replace(key, stats.hot)
+                del self._stats[victim]
+            else:
+                victim, victim_hotness = self._cache_heap.pop()
+                del self._stats[victim]
+                if self._inherit_hotness:
+                    stats.seed_from_hotness(victim_hotness, self._model)
+                rest.push(key, stats.hot)
+        else:
+            rest.push(key, stats.hot)
+        self._stats[key] = stats
+        stats.hot = rest.update_delta(key, delta)
+        return stats
+
+
+def weighted_cache(tracker_cls, inherit: bool) -> tuple[CoTCache, list]:
+    """A CoTCache on ``tracker_cls`` whose promote/demote calls are logged."""
+    model = HotnessModel(read_weight=0.7, update_weight=1.3)
+    cache = CoTCache(CAPACITY, tracker_capacity=TRACKER, model=model)
+    tracker = tracker_cls(TRACKER, CAPACITY, model, inherit_hotness=inherit)
+    cache._tracker = tracker
+    log: list = []
+    promote, demote = tracker.promote, tracker.demote
+
+    def logged_promote(key):
+        demoted = promote(key)
+        log.append(("promote", key, demoted))
+        return demoted
+
+    def logged_demote(key):
+        demote(key)
+        log.append(("demote", key))
+
+    tracker.promote = logged_promote
+    tracker.demote = logged_demote
+    return cache, log
+
+
+def bitwise_state(cache: CoTCache) -> tuple:
+    """Heap contents as ``(priority bits, seq, key)`` sets plus hotness bits."""
+    tracker = cache.tracker
+    heaps = tuple(
+        {
+            (priority.hex(), seq, key)
+            for priority, seq, key in zip(heap._priorities, heap._seqs, heap._keys)
+        }
+        for heap in (tracker._cache_heap, tracker._rest_heap)
+    )
+    hot = {key: stats.hot.hex() for key, stats in tracker._stats.items()}
+    return heaps, hot, set(cache.cached_keys())
+
+
+@pytest.mark.parametrize("inherit", [True, False])
+def test_one_sift_admission_matches_two_step_under_weights(inherit: bool) -> None:
+    """Mixed reads and updates with ``r_w = 0.7``, ``u_w = 1.3`` through
+    every admitting entry point (``get_or_admit``, ``record_update``,
+    ``run_stream``, ``track``, ``track_many``): bitwise-equal hotness
+    and heap priorities, the same ``(priority, seq)`` pairs, and the same
+    promote/demote sequence as two-step admission."""
+    import random
+
+    fast, fast_log = weighted_cache(CoTTracker, inherit)
+    ref, ref_log = weighted_cache(TwoStepAdmitTracker, inherit)
+    keys = ZipfianGenerator(KEY_SPACE, theta=0.99, seed=5).keys_array(60_000)
+    rng = random.Random(9)
+    for start in range(0, len(keys), 1_000):
+        chunk = keys[start : start + 1_000]
+        phase = (start // 1_000) % 4
+        for cache in (fast, ref):
+            if phase == 0:
+                for key in chunk:
+                    cache.get_or_admit(key, lambda k: k)
+            elif phase == 1:
+                cache.run_stream(chunk)
+            elif phase == 2:
+                cache.tracker.track_many(chunk[:200], AccessType.UPDATE)
+                cache.tracker.track_many(chunk[200:], AccessType.READ)
+            else:
+                for key in chunk:
+                    cache.tracker.track(key, AccessType.READ)
+        for key in chunk[::3]:
+            via_cache = rng.random() < 0.4
+            for cache in (fast, ref):
+                if via_cache:
+                    cache.record_update(key)
+                else:
+                    cache.tracker.track(key, AccessType.UPDATE)
+            assert (
+                fast.tracker.hotness_of(key).hex()
+                == ref.tracker.hotness_of(key).hex()
+            )
+        assert fast_log == ref_log, f"decisions diverge by access {start}"
+        assert bitwise_state(fast) == bitwise_state(ref)
+    assert any(entry[0] == "demote" for entry in fast_log)
+    assert any(entry[0] == "promote" and entry[2] is not None for entry in fast_log)
+    assert fast.stats.hits == ref.stats.hits
+    assert fast.stats.insertions == ref.stats.insertions
+    assert fast.stats.evictions == ref.stats.evictions
+    fast.check_invariants()
+    ref.check_invariants()

@@ -221,6 +221,77 @@ class TestCircuitBreaker:
             guard.call("s0", self.always_down)
         assert guard.unavailable_servers() == frozenset({"s0"})
 
+    #: ``(attempt outcomes, raises?, RetryStats after, breaker after)``
+    #: per call on one shard. RetryStats in field order (operations,
+    #: attempts, retries, failures, open_rejections, backoff_total,
+    #: lost_invalidations); breaker = ``(state, opens, half_opens, closes,
+    #: consecutive failures)``. Threshold 4, cooldown 3 ticks, 2
+    #: half-open probes, 3 attempts, backoff 1 s doubling, no jitter.
+    SCRIPT = [
+        # success on a CLOSED breaker
+        (["ok"], False, (1, 1, 0, 0, 0, 0.0, 0), ("closed", 0, 0, 0, 0)),
+        # fail-fail-success: retried, and the success ends the run
+        (["fail", "fail", "ok"], False, (2, 4, 2, 0, 0, 3.0, 0),
+         ("closed", 0, 0, 0, 0)),
+        # retries exhausted below the threshold: the run carries over ...
+        (["fail"] * 3, True, (3, 7, 4, 1, 0, 6.0, 0), ("closed", 0, 0, 0, 3)),
+        # ... until a success ends it
+        (["ok"], False, (4, 8, 4, 1, 0, 6.0, 0), ("closed", 0, 0, 0, 0)),
+        (["fail"] * 3, True, (5, 11, 6, 2, 0, 9.0, 0), ("closed", 0, 0, 0, 3)),
+        # the 4th consecutive failure trips the breaker: no retry
+        (["fail"], True, (6, 12, 6, 3, 0, 9.0, 0), ("open", 1, 0, 0, 4)),
+        # rejected while cooling down: no attempt reaches the shard
+        ([], True, (7, 12, 6, 4, 1, 9.0, 0), ("open", 1, 0, 0, 4)),
+        ([], True, (8, 12, 6, 5, 2, 9.0, 0), ("open", 1, 0, 0, 4)),
+        # cooldown over: a HALF_OPEN probe fails and re-opens
+        (["fail"], True, (9, 13, 6, 6, 2, 9.0, 0), ("open", 2, 1, 0, 0)),
+        ([], True, (10, 13, 6, 7, 3, 9.0, 0), ("open", 2, 1, 0, 0)),
+        ([], True, (11, 13, 6, 8, 4, 9.0, 0), ("open", 2, 1, 0, 0)),
+        # two successful probes close it again
+        (["ok"], False, (12, 14, 6, 8, 4, 9.0, 0), ("half_open", 2, 2, 0, 0)),
+        (["ok"], False, (13, 15, 6, 8, 4, 9.0, 0), ("closed", 2, 2, 1, 0)),
+        # back on the CLOSED path
+        (["fail", "ok"], False, (14, 17, 7, 8, 4, 10.0, 0),
+         ("closed", 2, 2, 1, 0)),
+        (["ok"], False, (15, 18, 7, 8, 4, 10.0, 0), ("closed", 2, 2, 1, 0)),
+    ]
+
+    def test_scripted_transitions_pin_every_counter(self):
+        """Every counter after every call, across the CLOSED path and the
+        OPEN / HALF_OPEN transitions around it."""
+        import dataclasses
+
+        guard = ClusterGuard(
+            ["s0"],
+            retry=RetryPolicy(max_attempts=3, base_backoff=1.0, jitter=0.0),
+            breaker=BreakerConfig(
+                failure_threshold=4, cooldown=3.0, half_open_probes=2
+            ),
+        )
+        breaker = guard.breaker("s0")
+        for step, (outcomes, raises, stats, state) in enumerate(self.SCRIPT):
+            pending = list(outcomes)
+
+            def shard():
+                if pending.pop(0) == "fail":
+                    raise ShardDownError("down")
+                return step
+
+            if raises:
+                with pytest.raises(ShardUnavailableError):
+                    guard.call("s0", shard)
+            else:
+                assert guard.call("s0", shard) == step
+            assert pending == [], step
+            assert dataclasses.astuple(guard.stats) == stats, step
+            assert (
+                breaker.state.value,
+                breaker.opens,
+                breaker.half_opens,
+                breaker.closes,
+                breaker.consecutive_failures,
+            ) == state, step
+
 
 def tight_guard_for(servers, threshold, cooldown):
     return ClusterGuard(

@@ -164,6 +164,94 @@ class TestCollisionDeterminism:
         assert len(set(mappings)) == 1
 
 
+class TestOwnerMemo:
+    """``server_for`` memoizes owners per membership epoch; the memo must
+    never change an answer."""
+
+    def test_membership_changes_clear_the_memo(self):
+        ring = ConsistentHashRing(SERVERS, virtual_nodes=64)
+        keys = [format_key(i) for i in range(5_000)]
+
+        def matches_fresh_ring() -> bool:
+            fresh = ConsistentHashRing(sorted(ring.servers), virtual_nodes=64)
+            return [ring.server_for(k) for k in keys] == [
+                fresh.server_for(k) for k in keys
+            ]
+
+        assert matches_fresh_ring()  # also fills the memo
+        ring.add_server("s-new")
+        assert matches_fresh_ring()
+        ring.remove_server("s-new")
+        assert matches_fresh_ring()
+        ring.remove_server("s3")
+        assert matches_fresh_ring()
+
+    def test_memo_is_keyed_on_the_hash_input(self):
+        """``1``, ``1.0`` and ``True`` compare equal but hash to different
+        ring points; ``1`` and ``"1"`` share the hash input ``"1"``."""
+        import itertools
+
+        keys = (1, 1.0, True, "1")
+        expected = {
+            repr(k): ConsistentHashRing(SERVERS).server_for(k) for k in keys
+        }
+        assert len(set(expected.values())) > 1  # aliasing would show
+        for order in itertools.permutations(keys):
+            ring = ConsistentHashRing(SERVERS)
+            for key in order:
+                assert ring.server_for(key) == expected[repr(key)]
+
+    def test_memo_never_exceeds_its_cap(self, monkeypatch):
+        from repro.cluster import hashring as hashring_module
+
+        assert hashring_module.OWNER_MEMO_CAP == 1 << 17
+        keys = [format_key(i % 300) for i in range(1_000)]
+        fresh = ConsistentHashRing(SERVERS, virtual_nodes=32)
+        expected = [fresh.server_for(k) for k in keys]
+        monkeypatch.setattr(hashring_module, "OWNER_MEMO_CAP", 64)
+        ring = ConsistentHashRing(SERVERS, virtual_nodes=32)
+        for key, owner in zip(keys, expected):
+            assert ring.server_for(key) == owner
+            assert 0 < len(ring._owner_memo) <= 64
+
+
+class TestBuild:
+    """``add_server(*servers)`` places many servers with one sort."""
+
+    MEMBERS = ["s3", "s0", "s7", "s1", "s5"]
+
+    def test_every_build_path_gives_the_same_ring(self):
+        import itertools
+        import random
+
+        def layout(ring):
+            return ring._points, ring._owners, ring.epoch
+
+        reference = layout(ConsistentHashRing(self.MEMBERS, virtual_nodes=64))
+        batched = ConsistentHashRing(virtual_nodes=64)
+        batched.add_server(*self.MEMBERS)
+        assert layout(batched) == reference
+        split = ConsistentHashRing(self.MEMBERS[:2], virtual_nodes=64)
+        split.add_server(*self.MEMBERS[2:])
+        assert layout(split) == reference
+        orders = list(itertools.permutations(self.MEMBERS))
+        for order in random.Random(7).sample(orders, 12) + [orders[-1]]:
+            one_by_one = ConsistentHashRing(virtual_nodes=64)
+            for server in order:
+                one_by_one.add_server(server)
+            assert layout(one_by_one) == reference
+
+    @pytest.mark.parametrize(
+        "servers", [("x", "x"), ("x", "s0"), ("s0",), ("x", "y", "x")]
+    )
+    def test_duplicate_ids_raise_and_leave_the_ring_unchanged(self, servers):
+        ring = ConsistentHashRing(SERVERS, virtual_nodes=16)
+        before = (ring.servers, list(ring._points), list(ring._owners), ring.epoch)
+        with pytest.raises(ClusterError):
+            ring.add_server(*servers)
+        assert (ring.servers, ring._points, ring._owners, ring.epoch) == before
+
+
 def naive_replicas(ring: ConsistentHashRing, key, r: int) -> tuple[str, ...]:
     """Reference implementation: per-call ring walk, no successor table."""
     import bisect
